@@ -39,6 +39,9 @@ pub struct Aig {
     num_inputs: usize,
     input_names: Vec<String>,
     outputs: Vec<(Edge, String)>,
+    /// Structural-hash table: ordered fanin codes → AND node id. A
+    /// cache of `fanins` — [`Aig::compact`] drops it and the next
+    /// [`Aig::and`] rebuilds it.
     strash: HashMap<(u32, u32), u32>,
 }
 
@@ -117,6 +120,9 @@ impl Aig {
             return a;
         }
         let (a, b) = if a.code() <= b.code() { (a, b) } else { (b, a) };
+        if self.strash.is_empty() {
+            self.rebuild_strash();
+        }
         if let Some(&node) = self.strash.get(&(a.code(), b.code())) {
             return Edge::new(NodeId(node), false);
         }
@@ -132,6 +138,27 @@ impl Aig {
         self.fanins.push([a, b]);
         self.strash.insert((a.code(), b.code()), id);
         Edge::new(NodeId(id), false)
+    }
+
+    /// Rebuilds the structural-hash table from the fanins. On a
+    /// duplicate pair the first (lowest) node wins, the one `and` would
+    /// have returned.
+    fn rebuild_strash(&mut self) {
+        for i in self.num_inputs + 1..self.fanins.len() {
+            let [a, b] = self.fanins[i];
+            self.strash.entry((a.code(), b.code())).or_insert(i as u32);
+        }
+    }
+
+    /// Releases the memory a finished circuit no longer needs: the
+    /// structural-hash table and spare vector capacity. Nothing
+    /// observable changes — the table is a cache that the next
+    /// [`Aig::and`] rebuilds, so it still returns existing nodes.
+    pub fn compact(&mut self) {
+        self.strash = HashMap::new();
+        self.fanins.shrink_to_fit();
+        self.input_names.shrink_to_fit();
+        self.outputs.shrink_to_fit();
     }
 
     /// Returns the OR of two edges.
@@ -697,6 +724,34 @@ mod tests {
         g.add_output(used, "y");
         assert_eq!(g.and_count(), 2);
         assert_eq!(g.gate_count(), 1);
+    }
+
+    #[test]
+    fn compact_keeps_hashing_and_text() {
+        let mut g = Aig::new();
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let c = g.add_input("c");
+        let ab = g.and(a, b);
+        let y = g.and(ab, !c);
+        g.add_output(y, "y");
+        let before = g.to_aiger_ascii();
+        g.compact();
+        assert_eq!(
+            g.to_aiger_ascii(),
+            before,
+            "compact must not change the circuit"
+        );
+        // The dropped table is rebuilt: existing pairs hash to their
+        // nodes, in either operand order, and add nothing.
+        assert_eq!(g.and(b, a), ab);
+        assert_eq!(g.and(!c, ab), y);
+        assert_eq!(g.and_count(), 2);
+        assert_eq!(g.to_aiger_ascii(), before);
+        // New pairs still get new nodes.
+        let bc = g.and(b, c);
+        assert_eq!(g.and_count(), 3);
+        assert_eq!(g.and(c, b), bc);
     }
 
     #[test]

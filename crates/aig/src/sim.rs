@@ -57,8 +57,8 @@ impl Aig {
     /// of each assignment in order.
     ///
     /// This is the access pattern of a black-box oracle: rows in, rows
-    /// out. Internally the rows are transposed and evaluated 64 at a
-    /// time.
+    /// out. Internally the rows are transposed 64×64 bits at a time
+    /// ([`SimVector::columns`]) and evaluated 64 patterns per word.
     ///
     /// # Panics
     ///
@@ -69,9 +69,7 @@ impl Aig {
             // row (not per bit).
             assert_eq!(p.len(), self.num_inputs(), "wrong assignment width");
         }
-        let inputs: Vec<SimVector> = (0..self.num_inputs() as u32)
-            .map(|k| SimVector::column(patterns, k))
-            .collect();
+        let inputs = SimVector::columns(patterns, self.num_inputs());
         let outputs = self.simulate(&inputs);
         (0..patterns.len())
             .map(|row| outputs.iter().map(|v| v.bit(row)).collect())
@@ -127,6 +125,50 @@ mod tests {
         for (row, p) in patterns.iter().enumerate() {
             let bits: Vec<bool> = p.iter().collect();
             assert_eq!(batch[row], g.eval_bits(&bits), "row {row}");
+        }
+    }
+
+    /// A random AIG over `inputs` inputs with a handful of outputs,
+    /// built through the strashing API from `seed`.
+    fn random_aig(inputs: usize, seed: u64) -> Aig {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Aig::new();
+        let mut pool = g.add_inputs("x", inputs);
+        for _ in 0..rng.gen_range(0..3 * inputs) {
+            let a = pool[rng.gen_range(0..pool.len())].complement_if(rng.gen_bool(0.5));
+            let b = pool[rng.gen_range(0..pool.len())].complement_if(rng.gen_bool(0.5));
+            pool.push(g.and(a, b));
+        }
+        for k in 0..rng.gen_range(1..6) {
+            let e = pool[rng.gen_range(0..pool.len())].complement_if(rng.gen_bool(0.5));
+            g.add_output(e, format!("y{k}"));
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The word-transposed batch path equals single-pattern
+        /// evaluation row by row — partial 64-row blocks and inputs
+        /// past the first word included.
+        #[test]
+        fn eval_batch_matches_eval_bits_rowwise(
+            inputs in 1usize..=200,
+            rows in 0usize..=300,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = random_aig(inputs, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let patterns: Vec<Assignment> =
+                (0..rows).map(|_| Assignment::random(inputs, &mut rng)).collect();
+            let batch = g.eval_batch(&patterns);
+            proptest::prop_assert_eq!(batch.len(), rows);
+            for (row, p) in patterns.iter().enumerate() {
+                let bits: Vec<bool> = p.iter().collect();
+                proptest::prop_assert_eq!(&batch[row], &g.eval_bits(&bits), "row {}", row);
+            }
         }
     }
 

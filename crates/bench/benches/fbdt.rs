@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use cirlearn::fbdt::{build_fbdt, learn_exhaustive, FbdtConfig};
 use cirlearn::sampling::seeded_rng;
-use cirlearn::support::identify_support;
+use cirlearn::support::identify_supports;
 use cirlearn::{Budget, LearnerConfig};
 use cirlearn_oracle::generate;
 use cirlearn_telemetry::Telemetry;
@@ -22,7 +22,8 @@ fn bench_fbdt_build(c: &mut Criterion) {
                 let mut oracle = generate::eco_case_with_support(30, 1, sup, 5);
                 let cfg = LearnerConfig::fast();
                 let mut rng = seeded_rng(3);
-                let info = identify_support(&mut oracle, 0, &cfg.support_sampling, &mut rng);
+                let info =
+                    identify_supports(&mut oracle, &[0], &cfg.support_sampling, &mut rng).remove(0);
                 b.iter(|| {
                     let mut rng = seeded_rng(4);
                     let (cover, stats) = build_fbdt(

@@ -21,8 +21,9 @@ fn bench_pattern_sampling(c: &mut Criterion) {
             };
             let mut rng = seeded_rng(1);
             b.iter(|| {
-                let stats = pattern_sampling(&mut oracle, 0, &Cube::top(), &probe, &cfg, &mut rng);
-                black_box(stats.truth_ratio)
+                let stats =
+                    pattern_sampling(&mut oracle, &[0], &Cube::top(), &probe, &cfg, &mut rng);
+                black_box(stats.outputs[0].truth_ratio)
             });
         });
     }
@@ -38,7 +39,8 @@ fn bench_support_scaling(c: &mut Criterion) {
             let cfg = SamplingConfig::fast();
             let mut rng = seeded_rng(2);
             b.iter(|| {
-                let info = cirlearn::support::identify_support(&mut oracle, 0, &cfg, &mut rng);
+                let info = cirlearn::support::identify_supports(&mut oracle, &[0], &cfg, &mut rng)
+                    .remove(0);
                 black_box(info.support.len())
             });
         });

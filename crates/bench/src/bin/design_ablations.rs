@@ -24,7 +24,7 @@
 
 use cirlearn::fbdt::{build_fbdt, Exploration, FbdtConfig};
 use cirlearn::sampling::{seeded_rng, SamplingConfig};
-use cirlearn::support::identify_support;
+use cirlearn::support::identify_supports;
 use cirlearn::Budget;
 use cirlearn_aig::Aig;
 use cirlearn_oracle::{evaluate_accuracy, generate, CircuitOracle, EvalConfig, Oracle};
@@ -80,7 +80,8 @@ fn ablation_exploration(runs: &mut Vec<Json>) {
             telemetry.set_meta("budget_queries", budget_queries);
             let mut oracle = generate::neq_case_with_support(40, 1, support, seed);
             let mut rng = seeded_rng(1);
-            let info = identify_support(&mut oracle, 0, &SamplingConfig::fast(), &mut rng);
+            let info =
+                identify_supports(&mut oracle, &[0], &SamplingConfig::fast(), &mut rng).remove(0);
             let cfg = FbdtConfig {
                 exploration,
                 max_queries: Some(budget_queries),
@@ -150,7 +151,8 @@ fn ablation_onset_offset(runs: &mut Vec<Json>) {
         telemetry.set_meta("case", "or8 of 16");
         telemetry.set_meta("onset_offset_selection", selection);
         let mut rng = seeded_rng(2);
-        let info = identify_support(&mut oracle, 0, &SamplingConfig::fast(), &mut rng);
+        let info =
+            identify_supports(&mut oracle, &[0], &SamplingConfig::fast(), &mut rng).remove(0);
         let cfg = FbdtConfig {
             onset_offset_selection: selection,
             ..FbdtConfig::fast()
@@ -201,7 +203,7 @@ fn ablation_uneven_ratios(runs: &mut Vec<Json>) {
             ratios,
         };
         let mut rng = seeded_rng(3);
-        let info = identify_support(&mut oracle, 0, &cfg, &mut rng);
+        let info = identify_supports(&mut oracle, &[0], &cfg, &mut rng).remove(0);
         telemetry.set_meta("support_found", info.support.len());
         runs.push(telemetry.report().to_json());
         println!(

@@ -123,7 +123,9 @@ impl GreedyDtLearner {
             let free: Vec<usize> = (0..n)
                 .filter(|&i| !cube.contains_var(Var::new(i as u32)))
                 .collect();
-            let node = pattern_sampling(oracle, output, &cube, &free, cfg, rng);
+            let node = pattern_sampling(oracle, &[output], &cube, &free, cfg, rng)
+                .outputs
+                .remove(0);
             if node.truth_ratio >= 1.0 {
                 onset.push(cube);
                 continue;
@@ -203,7 +205,9 @@ impl SampleSopLearner {
                 rounds: self.support_rounds,
                 ratios: vec![0.5],
             };
-            let sup_stats = pattern_sampling(oracle, o, &Cube::top(), &probe, &cfg, &mut rng);
+            let sup_stats = pattern_sampling(oracle, &[o], &Cube::top(), &probe, &cfg, &mut rng)
+                .outputs
+                .remove(0);
             let support: Vec<usize> = sup_stats.support();
             let support_vars: Vec<Var> = support.iter().map(|&i| Var::new(i as u32)).collect();
 

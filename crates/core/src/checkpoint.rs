@@ -9,9 +9,9 @@
 //! - the partial circuit (as canonical ASCII AIGER, whose import
 //!   rebuilds identical node ids and repopulates the structural-hash
 //!   table),
-//! - per-output progress (learned edges, strategies, support sizes,
-//!   forced-leaf counts, per-output wall clock and query counts,
-//!   observed truth biases),
+//! - per-output progress (learned edges, strategies, the supports the
+//!   shared support sweep estimated, forced-leaf counts, per-output
+//!   wall clock and query counts, observed truth biases),
 //! - the run cursor — either "start the next unfinished output" or a
 //!   mid-construction FBDT frontier with its collected onset/offset
 //!   cubes,
@@ -26,7 +26,7 @@
 //! A checkpoint file is a one-line header followed by a JSON payload:
 //!
 //! ```text
-//! cirlearn-checkpoint v1 fnv64:0123456789abcdef
+//! cirlearn-checkpoint v2 fnv64:0123456789abcdef
 //! {"seed":"000000000001ccad", ...}
 //! ```
 //!
@@ -50,8 +50,13 @@ use crate::learner::{LearnerConfig, Strategy};
 /// First token of a checkpoint file's header line.
 pub const CHECKPOINT_MAGIC: &str = "cirlearn-checkpoint";
 
-/// Current checkpoint format version (header token `v1`).
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version (header token `v2`).
+///
+/// v2 replaced v1's per-output `support_sizes` with the `supports`
+/// the shared support sweep estimated: a v1 file comes from a run that
+/// swept each output separately, so it cannot resume bit-identically
+/// and is rejected with [`CheckpointError::Version`].
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint file could not be loaded or applied.
 #[derive(Debug)]
@@ -148,8 +153,8 @@ pub enum Cursor {
     /// arrays; resume with the next output that has no learned edge.
     NextOutput,
     /// Mid-FBDT on one output: the frontier and collected cubes are in
-    /// the snapshot; support identification for this output already
-    /// ran (its queries and RNG draws are burned into the totals).
+    /// the snapshot; the shared support sweep already ran (its queries
+    /// and RNG draws are burned into the totals).
     Fbdt {
         /// The suspended tree: frontier, onset/offset cubes, stats.
         snapshot: FbdtSnapshot,
@@ -202,8 +207,11 @@ pub struct LearnState {
     pub edges: Vec<Option<u32>>,
     /// Winning strategy per output, where decided.
     pub strategies: Vec<Option<Strategy>>,
-    /// Estimated support size per output.
-    pub support_sizes: Vec<usize>,
+    /// Estimated support per output (ascending input positions), or
+    /// `None` where the shared support sweep has not covered the output
+    /// (template matches, a run suspended before the sweep, or a sweep
+    /// the budget or a fault skipped).
+    pub supports: Vec<Option<Vec<usize>>>,
     /// Budget-forced FBDT leaves per output.
     pub forced: Vec<usize>,
     /// Wall clock spent learning each output.
@@ -343,8 +351,16 @@ impl LearnState {
                 ),
             ),
             (
-                "support_sizes",
-                Json::Array(self.support_sizes.iter().map(|&v| Json::from(v)).collect()),
+                "supports",
+                Json::Array(
+                    self.supports
+                        .iter()
+                        .map(|s| match s {
+                            Some(s) => Json::Array(s.iter().map(|&v| Json::from(v)).collect()),
+                            None => Json::Null,
+                        })
+                        .collect(),
+                ),
             ),
             (
                 "forced",
@@ -383,7 +399,7 @@ impl LearnState {
         let num_outputs_arrays = [
             "edges",
             "strategies",
-            "support_sizes",
+            "supports",
             "forced",
             "out_elapsed_us",
             "out_queries",
@@ -420,8 +436,9 @@ impl LearnState {
                         .ok_or_else(|| CheckpointError::Parse(format!("unknown strategy {s:?}")))
                 }
             })?,
-            support_sizes: parse_array(field("support_sizes")?, "support_sizes", |v| {
-                parse_u64(v, "support_sizes[]").map(|v| v as usize)
+            supports: parse_array(field("supports")?, "supports", |v| match v {
+                Json::Null => Ok(None),
+                _ => parse_positions(v, "supports[]").map(Some),
             })?,
             forced: parse_array(field("forced")?, "forced", |v| {
                 parse_u64(v, "forced[]").map(|v| v as usize)
@@ -514,6 +531,10 @@ fn parse_array<T>(
         .collect()
 }
 
+fn parse_positions(json: &Json, what: &str) -> Result<Vec<usize>, CheckpointError> {
+    parse_array(json, what, |v| parse_u64(v, what).map(|v| v as usize))
+}
+
 fn parse_rng(json: &Json) -> Result<[u64; 4], CheckpointError> {
     let words = parse_array(json, "rng", |v| parse_hex_u64(v, "rng[]"))?;
     <[u64; 4]>::try_from(words)
@@ -598,9 +619,7 @@ fn cursor_from_json(json: &Json) -> Result<Cursor, CheckpointError> {
             };
             let snapshot = FbdtSnapshot {
                 output: parse_u64(field("output")?, "output")? as usize,
-                support: parse_array(field("support")?, "support", |v| {
-                    parse_u64(v, "support[]").map(|v| v as usize)
-                })?,
+                support: parse_positions(field("support")?, "support")?,
                 truth_ratio_hint: field("truth_ratio_hint")?.as_f64().ok_or_else(|| {
                     CheckpointError::Parse("`truth_ratio_hint` not a number".into())
                 })?,
@@ -658,7 +677,7 @@ mod tests {
             circuit_aiger: circuit.to_aiger_ascii(),
             edges: vec![Some(y.code()), None],
             strategies: vec![Some(Strategy::Fbdt), None],
-            support_sizes: vec![2, 0],
+            supports: vec![Some(vec![0, 1]), None],
             forced: vec![1, 0],
             out_elapsed: vec![Duration::from_micros(5000), Duration::ZERO],
             out_queries: vec![777, 0],
@@ -739,18 +758,26 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         let (header, payload) = text.split_once('\n').unwrap();
 
-        let not_ckpt = format!("some-other-file v1 fnv64:0\n{payload}");
+        let current = format!(" v{CHECKPOINT_VERSION} ");
+        assert!(header.contains(&current), "header {header:?}");
+
+        let not_ckpt = format!("some-other-file v{CHECKPOINT_VERSION} fnv64:0\n{payload}");
         assert!(matches!(
             LearnState::from_file_bytes(not_ckpt.as_bytes()),
             Err(CheckpointError::Magic(_))
         ));
 
-        let future = header.replace(" v1 ", " v99 ");
-        let future = format!("{future}\n{payload}");
-        assert!(matches!(
-            LearnState::from_file_bytes(future.as_bytes()),
-            Err(CheckpointError::Version(_))
-        ));
+        // Every other version — older or newer — is a typed Version
+        // error naming the token found.
+        for version in (0..CHECKPOINT_VERSION).chain([CHECKPOINT_VERSION + 1, 99]) {
+            let skewed = header.replace(&current, &format!(" v{version} "));
+            let skewed = format!("{skewed}\n{payload}");
+            let err = LearnState::from_file_bytes(skewed.as_bytes()).expect_err("skewed");
+            assert!(
+                matches!(&err, CheckpointError::Version(v) if *v == format!("v{version}")),
+                "v{version}: {err}"
+            );
+        }
 
         assert!(matches!(
             LearnState::from_file_bytes(b"garbage"),

@@ -320,15 +320,17 @@ impl FbdtBuilder {
         let depth = cube.literals().len();
         telemetry.set_fbdt_depth(Some(depth as u64));
         let node_start = Instant::now();
-        let node = pattern_sampling(
+        let sampled = pattern_sampling(
             oracle,
-            self.output,
+            &[self.output],
             &cube,
             &free,
             &self.config.node_sampling,
             rng,
         );
-        self.stats.queries += node.queries;
+        self.stats.queries += sampled.queries;
+        // panic-ok: one output requested, so exactly one entry returned.
+        let node = &sampled.outputs[0];
 
         let disposition;
         if node.truth_ratio >= 1.0 - self.config.epsilon {
@@ -389,7 +391,7 @@ impl FbdtBuilder {
                     ("output", Json::from(self.output)),
                     ("depth", Json::from(depth)),
                     ("truth_ratio", Json::from(node.truth_ratio)),
-                    ("queries", Json::from(node.queries)),
+                    ("queries", Json::from(sampled.queries)),
                     ("disposition", Json::from(disposition)),
                     (
                         "elapsed_us",

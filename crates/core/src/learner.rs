@@ -18,7 +18,7 @@ use crate::fbdt::{build_fbdt, learn_exhaustive, FbdtBuilder, FbdtConfig, Learned
 use crate::guard::OracleGuard;
 use crate::naming::{group_names, Grouping};
 use crate::sampling::{seeded_rng, SamplingConfig};
-use crate::support::identify_support;
+use crate::support::identify_supports;
 use crate::template::{
     match_comparator_const, match_comparator_pair, match_linear, TemplateConfig,
 };
@@ -114,7 +114,9 @@ pub struct OutputStats {
     pub elapsed: Duration,
     /// Oracle queries issued while learning this output (zero for
     /// template matches — their validation queries are attributed to
-    /// the shared template stage).
+    /// the shared template stage — and excluding the shared support
+    /// sweep, which is attributed to the `support` stage with no
+    /// output).
     pub queries: u64,
     /// AND gates in this output's fanin cone before optimization.
     pub gates_before_opt: usize,
@@ -513,6 +515,17 @@ impl Learner {
                 })
             }
         };
+        if let Some(&p) = state
+            .supports
+            .iter()
+            .flatten()
+            .flatten()
+            .find(|&&p| p >= circuit.num_inputs())
+        {
+            return Err(CheckpointError::Mismatch(format!(
+                "swept support position {p} out of range"
+            )));
+        }
         if let Some(oracle_state) = &state.oracle {
             oracle
                 .restore_state(oracle_state)
@@ -524,7 +537,7 @@ impl Learner {
             progress: Progress {
                 edges,
                 strategies: state.strategies,
-                support_sizes: state.support_sizes,
+                supports: state.supports,
                 forced: state.forced,
                 out_elapsed: state.out_elapsed,
                 out_queries: state.out_queries,
@@ -772,6 +785,52 @@ impl Learner {
                 // already collected are synthesized, not discarded.
                 continue;
             }
+            if progress.supports[o].is_none() {
+                // Step 3, shared by all outputs: every query answers
+                // every output, so one base block plus one flip block
+                // per input gives each output still open its `D_i`,
+                // `S'` and truth ratio at the cost of one per-output
+                // sweep. It runs once, at the first output that needs
+                // it — after that output's safe point, so a crash
+                // mid-sweep still resumes past the templates — and its
+                // queries land on the `support` stage with no output.
+                // Supports are checkpointed, so a resumed run sweeps
+                // only if it suspended before the sweep.
+                let unswept: Vec<usize> = (0..num_outputs)
+                    .filter(|&x| progress.edges[x].is_none() && progress.supports[x].is_none())
+                    .collect();
+                let infos = {
+                    let _span = telemetry.span("support");
+                    identify_supports(
+                        &mut oracle,
+                        &unswept,
+                        &self.config.support_sampling,
+                        &mut rng,
+                    )
+                };
+                // Answers after a terminal fault are fallbacks: keep no
+                // support or bias learned from them.
+                if !oracle.failed() {
+                    for (&x, info) in unswept.iter().zip(infos) {
+                        telemetry.event(
+                            Level::Debug,
+                            &format!(
+                                "output {x} ({}): support {} truth_ratio {:.3}",
+                                output_names[x],
+                                info.support.len(),
+                                info.truth_ratio
+                            ),
+                        );
+                        progress.truth_bias[x] = Some(info.truth_ratio);
+                        progress.supports[x] = Some(info.support);
+                    }
+                }
+            }
+            let Some(support) = progress.supports[o].clone() else {
+                // The oracle died during the sweep: nothing honest to
+                // learn from, so the output degrades below.
+                continue;
+            };
             let out_start = Instant::now();
             let queries_before = oracle.queries();
             // Everything from here to the end of the iteration is this
@@ -788,7 +847,7 @@ impl Learner {
                 });
 
             // Pick the arm: a resumed tree continues directly; fresh
-            // outputs go through support identification first.
+            // outputs pick a strategy by their swept support.
             let arm = if let Some(resume) = resumed_tree {
                 let share = 1.0 / (remaining.len() - k) as f64;
                 Arm::Tree {
@@ -797,27 +856,12 @@ impl Learner {
                     cap: resume.max_queries,
                 }
             } else {
-                let info = {
-                    let _span = telemetry.span("support");
-                    identify_support(&mut oracle, o, &self.config.support_sampling, &mut rng)
-                };
-                progress.support_sizes[o] = info.support.len();
-                progress.truth_bias[o] = Some(info.truth_ratio);
-                telemetry.event(
-                    Level::Debug,
-                    &format!(
-                        "output {o} ({}): support {} truth_ratio {:.3}",
-                        output_names[o],
-                        info.support.len(),
-                        info.truth_ratio
-                    ),
-                );
                 let share = 1.0 / (remaining.len() - k) as f64;
                 let node_budget = budget.fraction_of_remaining(share);
-                if info.support.len() <= self.config.fbdt.exhaustive_threshold {
+                if support.len() <= self.config.fbdt.exhaustive_threshold {
                     progress.strategies[o] = Some(Strategy::Exhaustive);
                     let _span = telemetry.span("exhaustive");
-                    let (cover, _) = learn_exhaustive(&mut oracle, o, &info.support, &mut rng);
+                    let (cover, _) = learn_exhaustive(&mut oracle, o, &support, &mut rng);
                     let var_map = identity_var_map(&circuit);
                     Arm::Edge(self.cover_to_edge(&cover, &mut circuit, &var_map))
                 } else if let Some(edge) = {
@@ -826,7 +870,7 @@ impl Learner {
                         &mut oracle,
                         o,
                         in_grouping.as_ref(),
-                        &info.support,
+                        &support,
                         &node_budget,
                         &mut circuit,
                         &mut rng,
@@ -848,8 +892,9 @@ impl Learner {
                         cap: fbdt_cfg.max_queries,
                         builder: Box::new(FbdtBuilder::new(
                             o,
-                            &info.support,
-                            info.truth_ratio,
+                            &support,
+                            // Set together with the support by the sweep.
+                            progress.truth_bias[o].unwrap_or(0.5),
                             &fbdt_cfg,
                         )),
                         node_budget,
@@ -1036,7 +1081,7 @@ impl Learner {
                 output: o,
                 name: output_names[o].clone(),
                 strategy: progress.strategies[o].unwrap_or(Strategy::Degraded),
-                support_size: progress.support_sizes[o],
+                support_size: progress.supports[o].as_ref().map_or(0, Vec::len),
                 forced_leaves: progress.forced[o],
                 elapsed: progress.out_elapsed[o],
                 queries: progress.out_queries[o],
@@ -1054,6 +1099,8 @@ impl Learner {
                 ),
             );
         }
+        // The caller keeps the circuit, not the means to grow it.
+        circuit.compact();
         let faults = FaultSummary {
             fallback_answers: oracle.fallback_answers(),
             degraded_outputs: degraded.len() as u64,
@@ -1201,7 +1248,13 @@ impl Learner {
 
         // Learn the output over the compressed space.
         let mut compressed = crate::compress::DelegateOracle::new(oracle, vec![delegate]);
-        let info = identify_support(&mut compressed, output, &self.config.support_sampling, rng);
+        let info = identify_supports(
+            &mut compressed,
+            &[output],
+            &self.config.support_sampling,
+            rng,
+        )
+        .pop()?;
         let cover = if info.support.len() <= self.config.fbdt.exhaustive_threshold {
             let (cover, _) = learn_exhaustive(&mut compressed, output, &info.support, rng);
             cover
@@ -1276,7 +1329,8 @@ enum Arm {
 struct Progress {
     edges: Vec<Option<Edge>>,
     strategies: Vec<Option<Strategy>>,
-    support_sizes: Vec<usize>,
+    /// The shared sweep's support per output; `None` until swept.
+    supports: Vec<Option<Vec<usize>>>,
     forced: Vec<usize>,
     out_elapsed: Vec<Duration>,
     out_queries: Vec<u64>,
@@ -1288,7 +1342,7 @@ impl Progress {
         Progress {
             edges: vec![None; n],
             strategies: vec![None; n],
-            support_sizes: vec![0; n],
+            supports: vec![None; n],
             forced: vec![0; n],
             out_elapsed: vec![Duration::ZERO; n],
             out_queries: vec![0; n],
@@ -1324,7 +1378,7 @@ impl Progress {
             circuit_aiger: circuit.to_aiger_ascii(),
             edges: self.edges.iter().map(|e| e.map(|e| e.code())).collect(),
             strategies: self.strategies.clone(),
-            support_sizes: self.support_sizes.clone(),
+            supports: self.supports.clone(),
             forced: self.forced.clone(),
             out_elapsed: self.out_elapsed.clone(),
             out_queries: self.out_queries.clone(),
@@ -1513,6 +1567,31 @@ mod tests {
     }
 
     #[test]
+    fn one_support_sweep_serves_every_output() {
+        // Preprocessing off: every output is open after the (skipped)
+        // template stage, so the single sweep covers all four.
+        let mut oracle = generate::eco_case(14, 4, 77);
+        let mut cfg = LearnerConfig::fast();
+        cfg.preprocessing = false;
+        let telemetry = Telemetry::recording();
+        let result = Learner::with_telemetry(cfg, telemetry.clone()).learn(&mut oracle);
+        let report = telemetry.report();
+        let support = report.stage("support").expect("support stage ran");
+        assert_eq!(support.calls, 1, "one sweep per run, not one per output");
+        // r · (n + 1) queries, attributed to the stage with no output.
+        assert_eq!(report.attribution_stage_queries("support"), 240 * 15);
+        assert!(report
+            .attribution
+            .iter()
+            .filter(|a| a.stage == "support")
+            .all(|a| a.output.is_none()));
+        // Per-output queries exclude the shared sweep.
+        let per_output: u64 = result.outputs.iter().map(|s| s.queries).sum();
+        assert_eq!(per_output + 240 * 15, result.queries);
+        assert!(result.degraded.is_empty());
+    }
+
+    #[test]
     fn output_count_and_names_preserved() {
         let mut oracle = generate::eco_case(14, 4, 77);
         let mut learner = Learner::new(LearnerConfig::fast());
@@ -1539,7 +1618,7 @@ mod tests {
 #[cfg(test)]
 mod degradation_tests {
     use super::*;
-    use cirlearn_oracle::{generate, FaultKind, FaultSchedule, FaultyOracle};
+    use cirlearn_oracle::{generate, CircuitOracle, FaultKind, FaultSchedule, FaultyOracle};
 
     #[test]
     fn clean_run_reports_no_faults() {
@@ -1603,6 +1682,51 @@ mod degradation_tests {
         // Budget expiry is degradation without an oracle fault.
         assert!(result.faults.oracle_error.is_none());
         assert!(result.faults.any());
+    }
+
+    #[test]
+    fn outputs_cut_after_the_sweep_degrade_to_their_sampled_majority() {
+        // y0 = AND of 8 inputs, y1 = OR of 8 inputs (mostly 1). The
+        // shared sweep runs at the first output; suspend at the second
+        // output's boundary and resume past the deadline: y1 is cut
+        // before it is learned and degrades to the majority its swept
+        // truth ratio says — TRUE — not to FALSE.
+        let mut g = Aig::new();
+        let x = g.add_inputs("x", 8);
+        let all = g.and_many(&x);
+        let negated: Vec<Edge> = x.iter().map(|&e| !e).collect();
+        let none = g.and_many(&negated);
+        g.add_output(all, "all");
+        g.add_output(!none, "any");
+        let mut oracle = CircuitOracle::new(g);
+        let mut cfg = LearnerConfig::fast();
+        cfg.preprocessing = false;
+        let mut learner = Learner::new(cfg);
+        let ctl = RunControl {
+            stop_after_safe_points: Some(1),
+            ..RunControl::default()
+        };
+        let state = learner
+            .learn_with(&mut oracle, &ctl)
+            .suspended()
+            .expect("suspends at the second output boundary");
+        assert_eq!(state.cursor, Cursor::NextOutput);
+        assert_eq!(state.outputs_done(), 1);
+        assert_eq!(state.supports, vec![Some((0..8).collect()); 2]);
+        assert!(state.truth_bias[1].is_some_and(|r| r > 0.5));
+        let state = LearnState::from_file_bytes(&state.to_file_bytes()).expect("roundtrip");
+        let ctl = RunControl {
+            deadline: Some(Duration::ZERO),
+            ..RunControl::default()
+        };
+        let result = learner
+            .resume(state, &mut oracle, &ctl)
+            .expect("state validates")
+            .expect_completed();
+        assert_eq!(result.degraded, vec![1]);
+        assert!(result.faults.oracle_error.is_none());
+        assert_eq!(result.circuit.outputs()[1].0, Edge::TRUE);
+        assert_eq!(result.outputs[1].support_size, 8);
     }
 
     #[test]

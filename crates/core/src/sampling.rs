@@ -58,19 +58,27 @@ impl SamplingConfig {
     }
 }
 
-/// The outcome of one `PatternSampling` call.
+/// The outcome of one `PatternSampling` call over a set of outputs.
 #[derive(Debug, Clone)]
 pub struct SampleStats {
-    /// Dependency count per primary-input position (entries for inputs
-    /// constrained by the cube are 0 and must be ignored).
-    pub dependency: Vec<u64>,
-    /// Proportion of 1s among all sampled output values.
-    pub truth_ratio: f64,
-    /// Number of oracle queries spent.
+    /// One entry per requested output, in request order.
+    pub outputs: Vec<OutputSample>,
+    /// Oracle queries spent — shared by every output of the call,
+    /// since each query answers all of them.
     pub queries: u64,
 }
 
-impl SampleStats {
+/// What one `PatternSampling` call observed for one output.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OutputSample {
+    /// Dependency count per primary-input position (entries for inputs
+    /// outside the probe set are 0 and must be ignored).
+    pub dependency: Vec<u64>,
+    /// Proportion of 1s among all sampled values of this output.
+    pub truth_ratio: f64,
+}
+
+impl OutputSample {
     /// The *most significant input*: the free input with the highest
     /// dependency count, or `None` if no dependency was observed.
     pub fn most_significant(&self, free: &[usize]) -> Option<usize> {
@@ -94,29 +102,37 @@ impl SampleStats {
     }
 }
 
-/// Runs `PatternSampling(F, c)` for one output of the oracle.
+/// Runs `PatternSampling(F, c)` for a set of outputs of the oracle.
 ///
 /// Draws `config.rounds` base assignments constrained to satisfy
-/// `cube`, then measures `D_i` for every input in `probe` (the paper's
-/// `R = I \ C`; the caller restricts it further to the known support
-/// inside the FBDT) and the truth ratio of output `output` over all
-/// sampled values.
+/// `cube`, then flips each input in `probe` (the paper's `R = I \ C`;
+/// the caller restricts it further to the known support inside the
+/// FBDT) across the whole block. Every query answers every output, so
+/// one base block plus one flip block per probed input yields `D_i`
+/// and the truth ratio of each output in `outputs` at once: support
+/// identification passes every unlearned output, the FBDT and the
+/// baselines pass one. Which outputs are requested does not touch the
+/// RNG stream, so each output's counts equal those of a single-output
+/// call from the same RNG state.
 ///
 /// # Panics
 ///
-/// Panics if `output` is out of range or `probe` contains an input
+/// Panics if an output is out of range or `probe` contains an input
 /// constrained by `cube`.
 pub fn pattern_sampling<O: Oracle + ?Sized>(
     oracle: &mut O,
-    output: usize,
+    outputs: &[usize],
     cube: &Cube,
     probe: &[usize],
     config: &SamplingConfig,
     rng: &mut StdRng,
 ) -> SampleStats {
-    // panic-ok: entry contract guard, once per sampling call (not per
-    // pattern); everything below relies on `output` being in range.
-    assert!(output < oracle.num_outputs(), "output index out of range");
+    let m = oracle.num_outputs();
+    for &o in outputs {
+        // panic-ok: entry contract guard, once per requested output
+        // (not per pattern); every `row[o]` below relies on it.
+        assert!(o < m, "output index out of range");
+    }
     let n = oracle.num_inputs();
     for &i in probe {
         // panic-ok: entry contract guard — bounds every later
@@ -148,13 +164,15 @@ pub fn pattern_sampling<O: Oracle + ?Sized>(
         base.push(a);
     }
     let base_out = oracle.query_batch(&base);
-    // panic-ok: `output` is bounded by the entry guard and oracle rows
-    // have `num_outputs` entries by the Oracle contract.
-    let mut ones: u64 = base_out.iter().filter(|row| row[output]).count() as u64;
-    let mut total: u64 = r as u64;
-    let mut queries = r as u64;
+    // Per requested output: 1s seen so far, and `D_i` per input.
+    let mut ones: Vec<u64> = outputs
+        .iter()
+        // panic-ok: `o` bounded by the entry guard; rows have
+        // `num_outputs` entries by the Oracle contract.
+        .map(|&o| base_out.iter().filter(|row| row[o]).count() as u64)
+        .collect();
+    let mut dependency: Vec<Vec<u64>> = vec![vec![0u64; n]; outputs.len()];
 
-    let mut dependency = vec![0u64; n];
     // One reusable flip block: flip the probed input in place, query,
     // then flip it back — no per-probe reallocation of r assignments.
     let mut flipped: Vec<Assignment> = base.clone();
@@ -167,28 +185,31 @@ pub fn pattern_sampling<O: Oracle + ?Sized>(
         for f in &mut flipped {
             f.flip(var);
         }
-        queries += r as u64;
-        let mut d = 0u64;
-        for (b, f) in base_out.iter().zip(&flip_out) {
-            // panic-ok: `output` bounded by the entry guard; rows have
-            // `num_outputs` entries by the Oracle contract.
-            if b[output] != f[output] {
-                d += 1;
+        for ((dep, one), &o) in dependency.iter_mut().zip(&mut ones).zip(outputs) {
+            let mut d = 0u64;
+            for (b, f) in base_out.iter().zip(&flip_out) {
+                // panic-ok: `o` bounded by the entry guard; rows have
+                // `num_outputs` entries by the Oracle contract.
+                d += u64::from(b[o] != f[o]);
+                // panic-ok: same bound as the comparison above.
+                *one += u64::from(f[o]);
             }
-            // panic-ok: same bound as the comparison above.
-            if f[output] {
-                ones += 1;
-            }
-            total += 1;
+            // panic-ok: `i < n` checked by the entry guard and `dep`
+            // has exactly `n` slots.
+            dep[i] = d;
         }
-        // panic-ok: `i < n` checked by the entry guard and
-        // `dependency` has exactly `n` slots.
-        dependency[i] = d;
     }
 
+    let queries = (r * (probe.len() + 1)) as u64;
     SampleStats {
-        dependency,
-        truth_ratio: ones as f64 / total as f64,
+        outputs: dependency
+            .into_iter()
+            .zip(ones)
+            .map(|(dependency, ones)| OutputSample {
+                dependency,
+                truth_ratio: ones as f64 / queries as f64,
+            })
+            .collect(),
         queries,
     }
 }
@@ -256,12 +277,14 @@ mod tests {
         let probe: Vec<usize> = (0..8).collect();
         let stats = pattern_sampling(
             &mut o,
-            0,
+            &[0],
             &Cube::top(),
             &probe,
             &SamplingConfig::fast(),
             &mut rng,
-        );
+        )
+        .outputs
+        .remove(0);
         assert_eq!(stats.support(), vec![0, 5]);
         assert!(stats.dependency[0] > 0 && stats.dependency[5] > 0);
         assert_eq!(stats.dependency[1], 0);
@@ -281,12 +304,14 @@ mod tests {
         .expect("consistent");
         let stats = pattern_sampling(
             &mut o,
-            0,
+            &[0],
             &cube,
             &[1, 2, 3],
             &SamplingConfig::fast(),
             &mut rng,
-        );
+        )
+        .outputs
+        .remove(0);
         assert!((stats.truth_ratio - 1.0).abs() < 1e-9);
         assert!(stats.support().is_empty());
     }
@@ -297,7 +322,9 @@ mod tests {
         let mut rng = seeded_rng(3);
         // x0=0 makes the output constant 0.
         let cube = Cube::from_literals([Literal::new(Var::new(0), true)]).expect("ok");
-        let stats = pattern_sampling(&mut o, 0, &cube, &[5], &SamplingConfig::fast(), &mut rng);
+        let stats = pattern_sampling(&mut o, &[0], &cube, &[5], &SamplingConfig::fast(), &mut rng)
+            .outputs
+            .remove(0);
         assert_eq!(stats.truth_ratio, 0.0);
         assert_eq!(stats.dependency[5], 0);
     }
@@ -308,7 +335,7 @@ mod tests {
         let mut o = and_oracle();
         let mut rng = seeded_rng(4);
         let cube = Cube::from_literals([Literal::new(Var::new(0), false)]).expect("ok");
-        pattern_sampling(&mut o, 0, &cube, &[0], &SamplingConfig::fast(), &mut rng);
+        pattern_sampling(&mut o, &[0], &cube, &[0], &SamplingConfig::fast(), &mut rng);
     }
 
     #[test]
@@ -327,7 +354,9 @@ mod tests {
             rounds: 600,
             ratios: vec![0.5, 0.9],
         };
-        let stats = pattern_sampling(&mut o, 0, &Cube::top(), &probe, &cfg, &mut rng);
+        let stats = pattern_sampling(&mut o, &[0], &Cube::top(), &probe, &cfg, &mut rng)
+            .outputs
+            .remove(0);
         assert_eq!(stats.support().len(), 12, "all 12 inputs must be found");
     }
 
@@ -352,9 +381,57 @@ mod tests {
             rounds: 50,
             ratios: vec![0.5],
         };
-        let stats = pattern_sampling(&mut o, 0, &Cube::top(), &[0, 1, 2], &cfg, &mut rng);
+        let stats = pattern_sampling(&mut o, &[0], &Cube::top(), &[0, 1, 2], &cfg, &mut rng);
         // r * (|probe| + 1)
         assert_eq!(stats.queries, 50 * 4);
         assert_eq!(o.queries(), 50 * 4);
+    }
+
+    #[test]
+    fn multi_output_call_equals_single_output_calls() {
+        // Four outputs over 70 inputs (past one word): a shared input,
+        // disjoint cones, a constant and a complemented output.
+        let mut g = Aig::new();
+        let x = g.add_inputs("x", 70);
+        let y0 = g.xor(x[0], x[65]);
+        let y1 = g.and_many(&x[3..9]);
+        let y2 = g.or(x[0], x[40]);
+        g.add_output(y0, "y0");
+        g.add_output(y1, "y1");
+        g.add_output(cirlearn_aig::Edge::TRUE, "one");
+        g.add_output(!y2, "y2n");
+        let cube = Cube::from_literals([Literal::new(Var::new(4), false)]).expect("ok");
+        let probe: Vec<usize> = (0..70).filter(|&i| i != 4).collect();
+        let outputs = [3, 0, 2, 1];
+        for seed in [1u64, 2, 3] {
+            let mut o = CircuitOracle::new(g.clone());
+            let all = pattern_sampling(
+                &mut o,
+                &outputs,
+                &cube,
+                &probe,
+                &SamplingConfig::fast(),
+                &mut seeded_rng(seed),
+            );
+            assert_eq!(all.outputs.len(), outputs.len());
+            for (k, &out) in outputs.iter().enumerate() {
+                let one = pattern_sampling(
+                    &mut o,
+                    &[out],
+                    &cube,
+                    &probe,
+                    &SamplingConfig::fast(),
+                    &mut seeded_rng(seed),
+                );
+                assert_eq!(one.queries, all.queries, "queries, output {out}");
+                assert_eq!(
+                    one.outputs[0], all.outputs[k],
+                    "seed {seed} output {out}: dependency and truth ratio"
+                );
+            }
+            assert!(all.outputs[2].support().is_empty());
+            assert_eq!(all.outputs[2].truth_ratio, 1.0);
+            assert_eq!(all.outputs[1].support(), vec![0, 65]);
+        }
     }
 }

@@ -1,15 +1,19 @@
 //! Support identification (paper §IV-C).
 //!
-//! For each output, estimate the support `S' ⊆ S` by unconstrained
+//! Estimate each output's support `S' ⊆ S` by unconstrained
 //! `PatternSampling`: an input with a nonzero dependency count provably
 //! belongs to the support; inputs with zero count are *assumed*
 //! independent (the black-box setting cannot prove independence).
+//!
+//! Every query answers all outputs, so one sweep — a base block plus
+//! one flip block per input — serves every output at once; the learner
+//! runs it once per run over all outputs the templates left open.
 
 use cirlearn_logic::Cube;
 use cirlearn_oracle::Oracle;
 use rand::rngs::StdRng;
 
-use crate::sampling::{pattern_sampling, SampleStats, SamplingConfig};
+use crate::sampling::{pattern_sampling, SamplingConfig};
 
 /// The estimated support of one output.
 #[derive(Debug, Clone)]
@@ -20,8 +24,6 @@ pub struct SupportInfo {
     pub dependency: Vec<u64>,
     /// Truth ratio observed during sampling.
     pub truth_ratio: f64,
-    /// Oracle queries spent.
-    pub queries: u64,
 }
 
 impl SupportInfo {
@@ -33,24 +35,29 @@ impl SupportInfo {
     }
 }
 
-/// Identifies the approximate support `S'` of `output`.
+/// Identifies the approximate support `S'` of every output in
+/// `outputs` with one shared sweep, returning one [`SupportInfo`] per
+/// output in request order.
 ///
 /// This is the paper's §IV-C procedure: unconstrained sampling (empty
-/// cube) over all inputs with mixed 0/1 ratios.
-pub fn identify_support<O: Oracle + ?Sized>(
+/// cube) over all inputs with mixed 0/1 ratios. The sweep costs
+/// `r · (n + 1)` queries however many outputs it serves.
+pub fn identify_supports<O: Oracle + ?Sized>(
     oracle: &mut O,
-    output: usize,
+    outputs: &[usize],
     config: &SamplingConfig,
     rng: &mut StdRng,
-) -> SupportInfo {
+) -> Vec<SupportInfo> {
     let probe: Vec<usize> = (0..oracle.num_inputs()).collect();
-    let stats: SampleStats = pattern_sampling(oracle, output, &Cube::top(), &probe, config, rng);
-    SupportInfo {
-        support: stats.support(),
-        truth_ratio: stats.truth_ratio,
-        queries: stats.queries,
-        dependency: stats.dependency,
-    }
+    pattern_sampling(oracle, outputs, &Cube::top(), &probe, config, rng)
+        .outputs
+        .into_iter()
+        .map(|s| SupportInfo {
+            support: s.support(),
+            truth_ratio: s.truth_ratio,
+            dependency: s.dependency,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -69,7 +76,7 @@ mod tests {
         g.add_output(y, "y");
         let mut o = CircuitOracle::new(g);
         let mut rng = seeded_rng(11);
-        let info = identify_support(&mut o, 0, &SamplingConfig::fast(), &mut rng);
+        let info = identify_supports(&mut o, &[0], &SamplingConfig::fast(), &mut rng).remove(0);
         assert_eq!(info.support, vec![2, 7, 9]);
         let sig = info.by_significance();
         assert!(sig.contains(&2) && sig.contains(&7) && sig.contains(&9));
@@ -83,7 +90,7 @@ mod tests {
         g.add_output(cirlearn_aig::Edge::TRUE, "one");
         let mut o = CircuitOracle::new(g);
         let mut rng = seeded_rng(12);
-        let info = identify_support(&mut o, 0, &SamplingConfig::fast(), &mut rng);
+        let info = identify_supports(&mut o, &[0], &SamplingConfig::fast(), &mut rng).remove(0);
         assert!(info.support.is_empty());
         assert!((info.truth_ratio - 1.0).abs() < 1e-9);
     }
@@ -98,9 +105,10 @@ mod tests {
         g.add_output(y1, "y1");
         let mut o = CircuitOracle::new(g);
         let mut rng = seeded_rng(13);
-        let i0 = identify_support(&mut o, 0, &SamplingConfig::fast(), &mut rng);
-        let i1 = identify_support(&mut o, 1, &SamplingConfig::fast(), &mut rng);
-        assert_eq!(i0.support, vec![0, 1]);
-        assert_eq!(i1.support, vec![4, 5]);
+        let infos = identify_supports(&mut o, &[0, 1], &SamplingConfig::fast(), &mut rng);
+        assert_eq!(infos[0].support, vec![0, 1]);
+        assert_eq!(infos[1].support, vec![4, 5]);
+        // One sweep served both outputs.
+        assert_eq!(o.queries(), 240 * 7);
     }
 }

@@ -756,8 +756,10 @@ pub(crate) fn extract_file(
                         &mut pending_test_attr,
                     );
                     depth += 1;
-                } else if c == ';' {
-                    // Bodiless item (trait method decl, `mod x;`).
+                } else if c == ';' && !inside_brackets(buf) {
+                    // Bodiless item (trait method decl, `mod x;`). A
+                    // `;` inside `(…)`/`[…]` belongs to an array type in
+                    // the signature (`m: &mut [u64; 64]`), not the end.
                     header = None;
                     pending_test_attr = false;
                 } else {
@@ -1213,6 +1215,17 @@ fn macro_call(code: &str, name: &str) -> bool {
         .any(|p| bytes.get(p + name.len()) == Some(&b'!'))
 }
 
+/// Whether `header` (a signature read so far) leaves a `(` or `[`
+/// open.
+fn inside_brackets(header: &str) -> bool {
+    let depth = header.chars().fold(0i32, |d, c| match c {
+        '(' | '[' => d + 1,
+        ')' | ']' => d - 1,
+        _ => d,
+    });
+    depth > 0
+}
+
 /// A slice-indexing site: `ident[`, `)[`, or `][`, excluding the
 /// full-range slice `[..]` (which cannot panic).
 fn has_indexing(code: &str) -> bool {
@@ -1583,6 +1596,22 @@ mod tests {
         assert!(a.violations.is_empty());
         let root = a.find("root_fn").unwrap();
         assert_eq!(a.sites[root].justified, 1);
+    }
+
+    #[test]
+    fn array_types_in_signatures_do_not_end_the_header() {
+        // `;` inside `[u64; 64]` must not read as a bodiless item: the
+        // body is extracted, its calls resolve, and its panics count.
+        let src = "fn root_fn() { leaf(&mut m); }\n\
+                   fn leaf(m: &mut [u64; 64]) -> [u8; 2] { m.unwrap(); }";
+        let a = analyze(src, vec![RootSpec::new("root_fn", "custom", 1)]);
+        assert!(a.reaches("root_fn", "leaf"));
+        assert_eq!(a.violations.len(), 1, "{:?}", a.violations);
+        assert_eq!(a.violations[0].rule, Rule::HotPanic);
+        // Bodiless declarations still end at their `;`.
+        let decl = "trait T { fn f(&self, m: [u8; 4]); }\nfn root_fn() { x.f(m); }";
+        let a = analyze(decl, vec![RootSpec::new("root_fn", "custom", 1)]);
+        assert!(a.violations.is_empty(), "{:?}", a.violations);
     }
 
     #[test]

@@ -121,6 +121,15 @@ fn known_hot_chains_stay_resolvable() {
     assert!(a.reaches("pattern_sampling", "Oracle::query_batch"));
     assert!(a.reaches("CircuitOracle::query", "Aig::eval_bits"));
     assert!(a.reaches("FbdtBuilder::step", "pattern_sampling"));
+    // The shared support sweep is the multi-output sampling call; the
+    // batch oracle path marshals rows through the word transpose.
+    assert!(a.reaches("identify_supports", "pattern_sampling"));
+    assert!(a.reaches("Aig::eval_batch", "SimVector::columns"));
+    assert!(a.reaches("SimVector::columns", "transpose64"));
+    for hot in ["SimVector::columns", "transpose64"] {
+        let idx = a.find(hot).expect("transpose functions exist");
+        assert!(a.hot[idx].is_some(), "{hot} fell out of the hot set");
+    }
     // The instrumented wrapper is on the query path and itself hot.
     let idx = a
         .find("InstrumentedOracle::query")

@@ -107,6 +107,12 @@ impl Assignment {
         self.len
     }
 
+    /// Returns the packed words, 64 variables each, least variable in
+    /// the low bit of word 0. Bits past `len` are 0.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Returns `true` if the assignment covers no variables.
     pub fn is_empty(&self) -> bool {
         self.len == 0

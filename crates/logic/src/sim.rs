@@ -67,22 +67,32 @@ impl SimVector {
         v
     }
 
-    /// Collects the value of variable `var_index` across a slice of
-    /// assignments: pattern `k` of the result is
-    /// `assignments[k][var_index]`.
+    /// Transposes row-major assignments into one column per variable:
+    /// pattern `k` of column `v` is `rows[k][v]`, for every `v < width`
+    /// (variables past an assignment's own width read as 0).
     ///
-    /// This transposes row-major assignments into the column-major layout
-    /// simulation needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any assignment is shorter than `var_index + 1`.
-    pub fn column(assignments: &[Assignment], var_index: u32) -> Self {
-        SimVector::from_bits(
-            assignments
-                .iter()
-                .map(|a| a.get(crate::Var::new(var_index))),
-        )
+    /// This is the row → column marshalling simulation needs. It works
+    /// on whole words: each block of up to 64 rows and each 64-variable
+    /// word of those rows forms a 64×64 bit matrix that is transposed
+    /// in place, instead of reading and appending one bit at a time.
+    pub fn columns(rows: &[Assignment], width: usize) -> Vec<SimVector> {
+        let mut cols: Vec<SimVector> = (0..width).map(|_| SimVector::zeros(rows.len())).collect();
+        let mut block = [0u64; 64];
+        for (b, chunk) in rows.chunks(64).enumerate() {
+            for (w, group) in cols.chunks_mut(64).enumerate() {
+                block.fill(0);
+                for (slot, row) in block.iter_mut().zip(chunk) {
+                    *slot = row.words().get(w).copied().unwrap_or(0);
+                }
+                transpose64(&mut block);
+                for (col, &word) in group.iter_mut().zip(&block) {
+                    if let Some(slot) = col.words.get_mut(b) {
+                        *slot = word;
+                    }
+                }
+            }
+        }
+        cols
     }
 
     /// Returns the number of patterns.
@@ -240,6 +250,31 @@ impl SimVector {
     }
 }
 
+/// Transposes a 64×64 bit matrix in place: bit `c` of word `r` moves
+/// to bit `r` of word `c`.
+///
+/// The classic recursive block swap: at half-width `j` (32, 16, …, 1)
+/// the off-diagonal `j×j` blocks of every `2j×2j` block trade places,
+/// one masked shift-xor per word pair.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    // Bit positions whose `j` bit is clear: the low half of every
+    // `2j`-bit group.
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        for pair in m.chunks_exact_mut(2 * j) {
+            let (lo, hi) = pair.split_at_mut(j);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                let t = ((*a >> j) ^ *b) & mask;
+                *a ^= t << j;
+                *b ^= t;
+            }
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
 impl FromIterator<bool> for SimVector {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         SimVector::from_bits(iter)
@@ -318,10 +353,36 @@ mod tests {
         let mut a1 = Assignment::zeros(3);
         a1.set(Var::new(1), true);
         a1.set(Var::new(2), true);
-        let col1 = SimVector::column(&[a0.clone(), a1.clone()], 1);
-        let col2 = SimVector::column(&[a0, a1], 2);
-        assert_eq!(col1.iter().collect::<Vec<_>>(), vec![true, true]);
-        assert_eq!(col2.iter().collect::<Vec<_>>(), vec![false, true]);
+        let cols = SimVector::columns(&[a0, a1], 3);
+        assert_eq!(cols.len(), 3);
+        assert_eq!(cols[0].iter().collect::<Vec<_>>(), vec![false, false]);
+        assert_eq!(cols[1].iter().collect::<Vec<_>>(), vec![true, true]);
+        assert_eq!(cols[2].iter().collect::<Vec<_>>(), vec![false, true]);
+    }
+
+    #[test]
+    fn columns_match_per_bit_reads() {
+        // Partial row blocks and widths past one word: 0, 1, 63, 64,
+        // 65 and 130 rows over 1, 64, 65 and 150 variables.
+        let mut rng = StdRng::seed_from_u64(9);
+        for rows in [0usize, 1, 63, 64, 65, 130] {
+            for width in [1usize, 64, 65, 150] {
+                let patterns: Vec<Assignment> = (0..rows)
+                    .map(|_| Assignment::random(width, &mut rng))
+                    .collect();
+                let cols = SimVector::columns(&patterns, width);
+                assert_eq!(cols.len(), width);
+                for (v, col) in cols.iter().enumerate() {
+                    let want: Vec<bool> =
+                        patterns.iter().map(|p| p.get(Var::new(v as u32))).collect();
+                    assert_eq!(
+                        col.iter().collect::<Vec<_>>(),
+                        want,
+                        "{rows}x{width} col {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
